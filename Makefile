@@ -25,16 +25,8 @@ build:
 test:
 	$(GO) test ./...
 
-# vet also greps for the deprecated root constructors: internal code,
-# commands, and examples must build backends through NewBackend/NewPIMnet
-# (the wrappers exist only for external callers, plus the one equivalence
-# test in options_test.go).
 vet:
 	$(GO) vet ./...
-	@if grep -rnE 'pimnet\.New(Baseline|IdealSoftware|DIMMLink|NDPBridge|FaultyPIMnet)\(' \
-			--include='*.go' cmd examples internal 2>/dev/null; then \
-		echo "deprecated constructor: use pimnet.NewBackend / pimnet.NewPIMnet (see above)"; exit 1; \
-	fi
 
 # The CI gate: static analysis, the race-enabled suite (which includes the
 # persistent store's crash/corruption/concurrency battery), and the coverage
@@ -61,12 +53,14 @@ cover:
 	done; rm -f /tmp/pimnet-cover.out
 
 # Short fuzz pass over the collective verify interpreter (the recovery
-# ladder's correctness oracle), the plan-cache key, the persistent store's
-# blob codec, the packet NoC's delivery invariants, and the backend-name
-# parser's round-trip; extend -fuzztime for deeper runs.
+# ladder's correctness oracle), the plan-cache key, the blueprint envelope
+# decoder, the persistent store's blob codec, the packet NoC's delivery
+# invariants, and the backend-name parser's round-trip; extend -fuzztime
+# for deeper runs.
 fuzz:
 	$(GO) test -fuzz=FuzzVerify -fuzztime=30s ./internal/collective/
 	$(GO) test -fuzz=FuzzPlanCacheKey -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz=FuzzBlueprintDecode -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzStoreDecode -fuzztime=30s ./internal/store/
 	$(GO) test -fuzz=FuzzStoreRoundTrip -fuzztime=30s ./internal/store/
 	$(GO) test -fuzz=FuzzNocDelivery -fuzztime=30s ./internal/noc/

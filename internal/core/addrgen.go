@@ -160,13 +160,18 @@ func AllToAllSendAddrs(base, dataBytes int64, nodes int) []int64 {
 }
 
 // PhaseTimesFromPlan extracts Algorithm 1's phase-duration inputs from a
-// compiled AllReduce plan by summing step costs per phase name. Plans
-// compiled for degenerate shapes (single chip or rank) report zero for the
-// missing phases.
+// compiled AllReduce plan by executing it on n and reading each phase's
+// duration by name. Plans compiled for degenerate shapes (single chip or
+// rank) report zero for the missing phases, and a plan that does not run
+// on n reports all zeros.
 func PhaseTimesFromPlan(n *Network, p *Plan) PhaseTimes {
 	var t PhaseTimes
-	for _, ph := range p.Phases {
-		d := phaseDuration(n, ph, p.Req.ElemSize)
+	_, durs, _, err := n.executePhases(p, execOptions{})
+	if err != nil {
+		return t
+	}
+	for i, ph := range p.Phases {
+		d := durs[i]
 		switch ph.Name {
 		case "bank-RS":
 			t.RSBank = d
@@ -182,27 +187,4 @@ func PhaseTimesFromPlan(n *Network, p *Plan) PhaseTimes {
 		}
 	}
 	return t
-}
-
-// phaseDuration evaluates one phase in isolation on fresh link state.
-func phaseDuration(n *Network, ph Phase, elemSize int) sim.Time {
-	n.Reset()
-	var now sim.Time
-	for _, st := range ph.Steps {
-		end := now
-		for _, tr := range st.Transfers {
-			_, done := tr.Link.Reserve(now, tr.Bytes)
-			if done > end {
-				end = done
-			}
-		}
-		if st.ReduceBytesPerNode > 0 {
-			if r := now + n.reduceTime(st.ReduceBytesPerNode, elemSize); r > end {
-				end = r
-			}
-		}
-		now = end
-	}
-	n.Reset()
-	return now
 }

@@ -34,9 +34,11 @@ func EncodeBlueprint(bp *Blueprint) ([]byte, error) {
 }
 
 // DecodeBlueprint parses an envelope and verifies it: the payload must
-// decode, carry a blueprint, and re-digest to the embedded digest. It never
-// panics on arbitrary bytes and never returns a blueprint that is not
-// bit-for-bit the schedule EncodeBlueprint saw.
+// decode, carry a blueprint, re-digest to the embedded digest, and pass
+// Plan.Validate. The digest is not a secret — anyone can recompute it — so
+// validation is what keeps a forged envelope from naming links outside its
+// topology. It never panics on arbitrary bytes and never returns a
+// blueprint that is not bit-for-bit the schedule EncodeBlueprint saw.
 func DecodeBlueprint(data []byte) (*Blueprint, error) {
 	var env blueprintEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
@@ -47,6 +49,9 @@ func DecodeBlueprint(data []byte) (*Blueprint, error) {
 	}
 	if got := env.Blueprint.Digest(); got != env.Digest {
 		return nil, fmt.Errorf("core: blueprint digest mismatch: envelope %.12s.., payload %.12s..", env.Digest, got)
+	}
+	if err := env.Blueprint.Validate(); err != nil {
+		return nil, fmt.Errorf("core: blueprint envelope: %w", err)
 	}
 	return env.Blueprint, nil
 }

@@ -2,9 +2,14 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"pimnet/internal/collective"
+	"pimnet/internal/config"
 )
 
 // testBlueprint compiles a real plan and lifts it into a blueprint.
@@ -99,6 +104,108 @@ func TestBlueprintCodecRejects(t *testing.T) {
 	if _, err := EncodeBlueprint(nil); err == nil {
 		t.Error("EncodeBlueprint(nil) succeeded")
 	}
+}
+
+// codecPins are the SHA-256 digests of EncodeBlueprint's output for every
+// golden-corpus cell. They pin the persisted bytes, not just the schedule:
+// a change to field order, field set or number encoding would make every
+// existing store see ErrDivergent on rewrite.
+var codecPins = map[string]string{
+	"allreduce_64":       "c233e48cfa469ee105db7257b15f6a6195a1dfd33c763bb619f7dee2c6eb3a40",
+	"allreduce_256":      "3f3d2a0afd8159b7c2e3bb5444e1484cacedf452b6c0a3b4c5f49bafd54c81a5",
+	"allreduce_2560":     "8b2049cb6c95eb142727b1b0cae13942cf6b61acb1a9f21596765905bc51b64a",
+	"allgather_64":       "2599f5c56765cb0f160bd32542df0777f2b4d23b993248d29480db1cd6b8d9e5",
+	"allgather_256":      "a31439caff79302576870bf326b0b11011e9023ae1809a5cebe8a891bb612d36",
+	"allgather_2560":     "39d54d2a695b08f522f458ea71e56c466568eebc594fcd4f3ba57c00778dbe83",
+	"reducescatter_64":   "31e529b87bfa209a1859eb3b74966ee487f8acaba6bc1b849e8d3f36a3f1d0a9",
+	"reducescatter_256":  "f372cb729d268f9d182ab1a3b3aed4363d97201042300e18abe202f9732dac6d",
+	"reducescatter_2560": "229ee0e37dc855515824a0401110dd83c207fa4d637e4e6415337e300c6f35b7",
+	"alltoall_64":        "1ae253ee4e38b0c521e62f34d2e3bc6f60e0e4bbdcce91b4701c9036542033b8",
+	"alltoall_256":       "63501327d3fa92f1a14f591182e3e1fbf9504ac72da2478b1a9c5e64689aa213",
+	"alltoall_2560":      "822d8c4eac8d3b2a5f569a511809c000dabb264a9704b4bfcc6b0eb54cf80cc8",
+}
+
+// TestBlueprintCodecBytesPinned: the envelope bytes of every golden cell
+// hash to their pinned value.
+func TestBlueprintCodecBytesPinned(t *testing.T) {
+	for _, pat := range goldenMatrix.patterns {
+		for _, dpus := range goldenMatrix.dpus {
+			n := testNet(t, dpus)
+			plan, err := PlanFor(n, testReq(pat, dpus, 32<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := EncodeBlueprint(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell := strings.TrimSuffix(filepath.Base(goldenFile(pat, dpus)), ".json")
+			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != codecPins[cell] {
+				t.Errorf("%s: envelope bytes drifted: sha256 %s, pinned %s", cell, got, codecPins[cell])
+			}
+		}
+	}
+}
+
+// TestDecodeRejectsForgedRef: the envelope digest is not a secret, so a
+// forger can recompute it over any schedule. A blueprint naming a link
+// outside its topology must still fail to decode.
+func TestDecodeRejectsForgedRef(t *testing.T) {
+	bp, _ := testBlueprint(t, 64)
+	tr := &bp.Phases[0].Steps[0].Transfers[0]
+	tr.Ref.Index = int32(bp.Topo.Banks)
+	forged, err := EncodeBlueprint(bp) // recomputes the digest
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := DecodeBlueprint(forged); err == nil {
+		t.Fatalf("forged ref %+v decoded to %v", tr.Ref, got)
+	}
+}
+
+// FuzzBlueprintDecode: DecodeBlueprint never panics, and any envelope it
+// accepts executes on a network of its topology without panicking. Run
+// with `go test -fuzz=FuzzBlueprintDecode ./internal/core`.
+func FuzzBlueprintDecode(f *testing.F) {
+	// Seeds stay small so mutation is fast: a 2x2x2 hierarchy still
+	// exercises every tier and link role.
+	sys := config.Default()
+	sys.Ranks, sys.ChipsPerRank, sys.BanksPerChip = 2, 2, 2
+	n, err := NewNetwork(sys)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, pat := range []collective.Pattern{collective.AllReduce, collective.AllToAll} {
+		plan, err := PlanFor(n, testReq(pat, 8, 4096))
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := EncodeBlueprint(plan)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"digest":"","blueprint":{}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bp, err := DecodeBlueprint(data)
+		if err != nil {
+			return
+		}
+		topo := bp.Topo
+		if topo.Ranks > 64 || topo.Chips > 64 || topo.Banks > 64 {
+			return // valid, but too large to build here
+		}
+		sys := config.Default()
+		sys.Ranks, sys.ChipsPerRank, sys.BanksPerChip = topo.Ranks, topo.Chips, topo.Banks
+		n, err := NewNetwork(sys)
+		if err != nil {
+			t.Fatalf("accepted topology %v does not build: %v", topo, err)
+		}
+		if _, err := n.Execute(bp); err != nil {
+			t.Fatalf("accepted blueprint does not execute: %v", err)
+		}
+	})
 }
 
 // memStore is an in-memory BlueprintStore that records traffic — the test

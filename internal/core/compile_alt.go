@@ -42,7 +42,7 @@ func FlatRingPlan(n *Network, req collective.Request) (*Plan, error) {
 		}
 	}
 	p.MemBytes = memStagingBytes(n, req)
-	if err := p.CheckContention(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -68,21 +68,21 @@ func flatRingPhase(n *Network, name string, D int64, reduce bool) Phase {
 			switch {
 			case sc.Rank == dc.Rank && sc.Chip == dc.Chip:
 				st.Transfers = append(st.Transfers, Transfer{
-					Link: n.RingLink(sc.Rank, sc.Chip, sc.Bank), Kind: KindRing, Bytes: bytes,
+					Ref: n.ringRef(sc.Rank, sc.Chip, sc.Bank), Kind: KindRing, Bytes: bytes,
 				})
 			case sc.Rank == dc.Rank:
 				st.Transfers = append(st.Transfers,
-					Transfer{Link: n.ChipSendLink(sc.Rank, sc.Chip), Kind: KindCrossbarPort, Bytes: bytes},
-					Transfer{Link: n.ChipRecvLink(dc.Rank, dc.Chip), Kind: KindCrossbarPort, Bytes: bytes},
+					Transfer{Ref: n.sendRef(sc.Rank, sc.Chip), Kind: KindCrossbarPort, Bytes: bytes},
+					Transfer{Ref: n.recvRef(dc.Rank, dc.Chip), Kind: KindCrossbarPort, Bytes: bytes},
 				)
 			default:
 				// The bus carries one scheduled transaction per rank
 				// boundary per step; they serialize on the shared wire, so
 				// mark them as deliberately multiplexed.
 				st.Transfers = append(st.Transfers,
-					Transfer{Link: n.ChipSendLink(sc.Rank, sc.Chip), Kind: KindCrossbarPort, Bytes: bytes},
-					Transfer{Link: n.Bus(), Kind: KindRing, Bytes: bytes},
-					Transfer{Link: n.ChipRecvLink(dc.Rank, dc.Chip), Kind: KindCrossbarPort, Bytes: bytes},
+					Transfer{Ref: n.sendRef(sc.Rank, sc.Chip), Kind: KindCrossbarPort, Bytes: bytes},
+					Transfer{Ref: busRef, Kind: KindRing, Bytes: bytes},
+					Transfer{Ref: n.recvRef(dc.Rank, dc.Chip), Kind: KindCrossbarPort, Bytes: bytes},
 				)
 			}
 		}

@@ -38,7 +38,7 @@ func TestPlanContentionFree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", pat, err)
 		}
-		if err := plan.CheckContention(); err != nil {
+		if err := plan.Validate(); err != nil {
 			t.Fatalf("%v: %v", pat, err)
 		}
 		if len(plan.Phases) == 0 {
@@ -357,30 +357,29 @@ func TestNetworkValidation(t *testing.T) {
 }
 
 func TestContentionCheckerCatchesViolations(t *testing.T) {
-	p := channel(t, 256)
-	n := p.Network()
-	plan := &Plan{Phases: []Phase{{
+	topo := channel(t, 256).Network().Topo
+	plan := &Plan{Topo: topo, Phases: []Phase{{
 		Name: "bogus", Tier: TierRank,
 		Steps: []Step{{Transfers: []Transfer{
-			{Link: n.Bus(), Kind: KindBus, Bytes: 10},
-			{Link: n.Bus(), Kind: KindBus, Bytes: 10},
+			{Ref: busRef, Kind: KindBus, Bytes: 10},
+			{Ref: busRef, Kind: KindBus, Bytes: 10},
 		}}},
 	}}}
-	if err := plan.CheckContention(); err == nil {
+	if err := plan.Validate(); err == nil {
 		t.Fatal("double-booked bus not caught")
 	}
-	plan2 := &Plan{Phases: []Phase{{
+	plan2 := &Plan{Topo: topo, Phases: []Phase{{
 		Name: "bogus", Tier: TierBank,
-		Steps: []Step{{Transfers: []Transfer{{Link: nil, Bytes: 1}}}},
+		Steps: []Step{{Transfers: []Transfer{{Ref: LinkRef{Role: RefRing, Index: int32(topo.Banks)}, Bytes: 1}}}},
 	}}}
-	if err := plan2.CheckContention(); err == nil {
-		t.Fatal("nil link not caught")
+	if err := plan2.Validate(); err == nil {
+		t.Fatal("ref outside topology not caught")
 	}
-	plan3 := &Plan{Phases: []Phase{{
+	plan3 := &Plan{Topo: topo, Phases: []Phase{{
 		Name: "bogus", Tier: TierBank,
-		Steps: []Step{{Transfers: []Transfer{{Link: n.Bus(), Kind: KindBus, Bytes: -1}}}},
+		Steps: []Step{{Transfers: []Transfer{{Ref: busRef, Kind: KindBus, Bytes: -1}}}},
 	}}}
-	if err := plan3.CheckContention(); err == nil {
+	if err := plan3.Validate(); err == nil {
 		t.Fatal("negative bytes not caught")
 	}
 }

@@ -54,7 +54,7 @@ func (p *Plan) Volumes() VolumeSummary {
 					v.Rank += tr.Bytes
 				case tr.Kind == KindRing:
 					v.Bank += tr.Bytes
-				case strings.HasPrefix(tr.Link.Name(), "dq-send"):
+				case tr.Ref.Role == RefChipSend:
 					v.Chip += tr.Bytes
 				}
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"pimnet/internal/backend"
@@ -17,7 +18,10 @@ import (
 // so Execute is repeatable.
 //
 // Execute is the sweep hot path: after one warm-up run it allocates nothing,
-// replaying the plan entirely out of the network's execScratch.
+// replaying the plan entirely out of the network's execScratch. It reads
+// the plan and never writes to it, so one cached plan may run on many
+// networks concurrently. Plans are validated by their constructors; Execute
+// only rejects a plan compiled for another topology.
 func (n *Network) Execute(p *Plan) (backend.Result, error) {
 	res, _, _, err := n.executePhases(p, execOptions{})
 	return res, err
@@ -69,13 +73,8 @@ type execOptions struct {
 // The returned durations alias the network's execScratch and are valid only
 // until the next execution on this network; copy before retaining.
 func (n *Network) executePhases(p *Plan, opt execOptions) (backend.Result, []sim.Time, int, error) {
-	// The contention check is memoized on the plan: every compiled or bound
-	// plan was verified once at construction, so replays skip the per-step
-	// map the checker builds. Only hand-assembled plans pay it here.
-	if !p.verified {
-		if err := p.CheckContention(); err != nil {
-			return backend.Result{}, nil, -1, err
-		}
+	if p.Topo != n.Topo {
+		return backend.Result{}, nil, -1, fmt.Errorf("core: plan topology %v != network topology %v", p.Topo, n.Topo)
 	}
 	n.Reset()
 	sc := &n.scratch
@@ -84,6 +83,9 @@ func (n *Network) executePhases(p *Plan, opt execOptions) (backend.Result, []sim
 	bd := &sc.bd
 	var now sim.Time
 	tb := int64(opt.traceBase)
+	// Locals the inner loop resolves refs through, kept out of memory the
+	// link reservations write.
+	links, topo := n.links, n.Topo
 
 	// MRAM<->WRAM staging for payloads that exceed the scratchpad.
 	if p.MemBytes > 0 {
@@ -126,19 +128,20 @@ func (n *Network) executePhases(p *Plan, opt execOptions) (backend.Result, []sim
 			for _, tr := range st.Transfers {
 				done := sim.MaxTime
 				if !tr.Dead {
+					l := &links[topo.slot(tr.Ref)]
 					var resStart sim.Time
-					resStart, done = tr.Link.Reserve(stepStart, tr.Bytes)
+					resStart, done = l.Reserve(stepStart, tr.Bytes)
 					if n.traceLinks {
 						// The busy window is the serialization interval:
 						// reservation start to the instant the wire frees
 						// (propagation excluded). A hard-failed wire never
 						// frees; it emits nothing — the detection event
 						// comes from the recovery ladder instead.
-						if free := tr.Link.FreeAt(); free != sim.MaxTime {
-							from, to := n.linkEndpoints(tr.Link)
+						if free := l.FreeAt(); free != sim.MaxTime {
+							from, to := n.linkEndpoints(tr.Ref)
 							n.tracer.Emit(trace.Event{Kind: trace.KindLinkBusy,
 								Tier: trace.Tier(ph.Tier), Name: ph.Name,
-								Link: tr.Link.Name(), Start: tb + int64(resStart),
+								Link: tr.Ref.String(), Start: tb + int64(resStart),
 								End: tb + int64(free), Bytes: tr.Bytes,
 								From: from, To: to, Seq: int64(si)})
 						}

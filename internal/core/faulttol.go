@@ -407,13 +407,13 @@ func PlanForDegraded(n *Network, req collective.Request) (*Plan, error) {
 				if tr.Dead {
 					return nil, fmt.Errorf("core: phase %s still crosses a stuck crossbar pairing", ph.Name)
 				}
-				if tr.Link != nil && tr.Link.Failed() {
-					return nil, fmt.Errorf("core: %s is hard-failed and unroutable", tr.Link.Name())
+				if n.link(tr.Ref).Failed() {
+					return nil, fmt.Errorf("core: %s is hard-failed and unroutable", tr.Ref)
 				}
 			}
 		}
 	}
-	if err := p.CheckContention(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("core: recompiled plan: %w", err)
 	}
 	return p, nil
@@ -463,35 +463,33 @@ func chipOrderAvoiding(chips int, dead map[chipPath]bool) ([]int, bool) {
 // rerouteRings rewrites every transfer that rides a hard-failed bank-ring
 // segment to go the long way around: the same bytes traverse each surviving
 // segment of that ring instead (ring links multiplex, so the contention
-// checker accepts this). Two failures in one ring disconnect it.
+// checker accepts this). Two failures in one ring disconnect it. p must be
+// a freshly compiled plan the caller owns, never a cached one.
 func (n *Network) rerouteRings(p *Plan) error {
-	p.verified = false // transfers are rewritten below; force a re-check
 	for pi := range p.Phases {
 		ph := &p.Phases[pi]
 		for si := range ph.Steps {
 			st := &ph.Steps[si]
 			rewritten := make([]Transfer, 0, len(st.Transfers))
 			for _, tr := range st.Transfers {
-				if tr.Kind != KindRing || tr.Link == nil || !tr.Link.Failed() {
+				if tr.Kind != KindRing || tr.Ref.Role != RefRing || !n.link(tr.Ref).Failed() {
 					rewritten = append(rewritten, tr)
 					continue
 				}
-				loc, ok := n.ringPos[tr.Link]
-				if !ok {
-					return fmt.Errorf("core: failed link %s is not a ring segment", tr.Link.Name())
-				}
-				var survivors []*sim.Link
+				var survivors []LinkRef
 				for b := 0; b < n.Topo.Banks; b++ {
-					if l := n.ringHop[loc.rank][loc.chip][b]; !l.Failed() {
-						survivors = append(survivors, l)
+					ref := tr.Ref
+					ref.Index = int32(b)
+					if !n.link(ref).Failed() {
+						survivors = append(survivors, ref)
 					}
 				}
 				if len(survivors) < n.Topo.Banks-1 {
 					return fmt.Errorf("core: ring [r%d,c%d] has %d failed segments; banks disconnected",
-						loc.rank, loc.chip, n.Topo.Banks-len(survivors))
+						tr.Ref.Rank, tr.Ref.Chip, n.Topo.Banks-len(survivors))
 				}
-				for _, l := range survivors {
-					rewritten = append(rewritten, Transfer{Link: l, Kind: KindRing, Bytes: tr.Bytes})
+				for _, ref := range survivors {
+					rewritten = append(rewritten, Transfer{Ref: ref, Kind: KindRing, Bytes: tr.Bytes})
 				}
 			}
 			st.Transfers = rewritten

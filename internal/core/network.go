@@ -26,10 +26,11 @@ type Network struct {
 	Sys  config.System
 	Topo Topology
 
-	ringHop  [][][]*sim.Link // [rank][chip][bank]: bank -> bank+1 ring segment
-	chipSend [][]*sim.Link   // [rank][chip]: chip -> crossbar
-	chipRecv [][]*sim.Link   // [rank][chip]: crossbar -> chip
-	rankBus  *sim.Link       // shared multi-drop DDR bus
+	// links is the flat link arena, indexed by Topo.slot: every ring
+	// segment, then the DQ send channels, the DQ receive channels, and the
+	// bus. Plans name links by LinkRef, so one plan runs on any network of
+	// its topology.
+	links []sim.Link
 
 	// stepOverheadPs is an optional fixed guard charged at every lock-step
 	// boundary (ablation knob; see SetStepOverhead).
@@ -38,15 +39,9 @@ type Network struct {
 	// Fault state. deadPath records stuck crossbar pairings (the internal
 	// mux from one chip's ingress to another's egress is wedged); chipOrder,
 	// when non-nil, is the logical->physical chip remap the recompiler
-	// installed to exclude those pairings from the configured ring; ringPos
-	// reverse-indexes ring segments for route-around recompilation.
+	// installed to exclude those pairings from the configured ring.
 	deadPath  map[chipPath]bool
 	chipOrder []int
-	ringPos   map[*sim.Link]ringLoc
-
-	// linkRef reverse-indexes every link to its coordinate so compiled
-	// plans can be lifted into network-independent blueprints (plancache.go).
-	linkRef map[*sim.Link]LinkRef
 
 	// scratch is the executor's reusable working set (see execScratch in
 	// exec.go). It follows the network's single-owner contract: one scratch
@@ -69,69 +64,43 @@ type Network struct {
 // chipPath identifies one configured crossbar pairing within a rank.
 type chipPath struct{ rank, src, dst int }
 
-// ringLoc locates a ring segment in the hierarchy.
-type ringLoc struct{ rank, chip, seg int }
-
 // NewNetwork builds the PIMnet resource graph for the configured channel.
 func NewNetwork(sys config.System) (*Network, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
 	topo := Topology{Ranks: sys.Ranks, Chips: sys.ChipsPerRank, Banks: sys.BanksPerChip}
-	n := &Network{Sys: sys, Topo: topo}
-	n.ringHop = make([][][]*sim.Link, topo.Ranks)
-	n.chipSend = make([][]*sim.Link, topo.Ranks)
-	n.chipRecv = make([][]*sim.Link, topo.Ranks)
-	ringBW := sys.BankRingBW()
-	for r := 0; r < topo.Ranks; r++ {
-		n.ringHop[r] = make([][]*sim.Link, topo.Chips)
-		n.chipSend[r] = make([]*sim.Link, topo.Chips)
-		n.chipRecv[r] = make([]*sim.Link, topo.Chips)
-		for c := 0; c < topo.Chips; c++ {
-			n.ringHop[r][c] = make([]*sim.Link, topo.Banks)
-			for b := 0; b < topo.Banks; b++ {
-				name := fmt.Sprintf("ring[r%d,c%d,b%d]", r, c, b)
-				n.ringHop[r][c][b] = sim.NewLink(name, ringBW, sys.Net.BankHopLat)
-			}
-			n.chipSend[r][c] = sim.NewLink(fmt.Sprintf("dq-send[r%d,c%d]", r, c),
-				sys.Net.ChipChannelBW, sys.Net.ChipHopLat+sys.Net.SwitchLat)
-			n.chipRecv[r][c] = sim.NewLink(fmt.Sprintf("dq-recv[r%d,c%d]", r, c),
-				sys.Net.ChipChannelBW, sys.Net.ChipHopLat)
-		}
+	n := &Network{Sys: sys, Topo: topo, links: make([]sim.Link, topo.links())}
+	ring, send, recv, bus := n.classes()
+	for i := range ring {
+		ring[i] = sim.MakeLink(sys.BankRingBW(), sys.Net.BankHopLat)
 	}
-	n.rankBus = sim.NewLink("ddr-bus", sys.Net.RankBusBW, sys.Net.RankBusLat)
-	n.ringPos = make(map[*sim.Link]ringLoc, topo.Ranks*topo.Chips*topo.Banks)
-	n.linkRef = make(map[*sim.Link]LinkRef, topo.Ranks*topo.Chips*(topo.Banks+2)+1)
-	for r := 0; r < topo.Ranks; r++ {
-		for c := 0; c < topo.Chips; c++ {
-			for b := 0; b < topo.Banks; b++ {
-				n.ringPos[n.ringHop[r][c][b]] = ringLoc{r, c, b}
-				n.linkRef[n.ringHop[r][c][b]] = LinkRef{Role: RefRing, Rank: r, Chip: c, Index: b}
-			}
-			n.linkRef[n.chipSend[r][c]] = LinkRef{Role: RefChipSend, Rank: r, Chip: c}
-			n.linkRef[n.chipRecv[r][c]] = LinkRef{Role: RefChipRecv, Rank: r, Chip: c}
-		}
+	for i := range send {
+		send[i] = sim.MakeLink(sys.Net.ChipChannelBW, sys.Net.ChipHopLat+sys.Net.SwitchLat)
+		recv[i] = sim.MakeLink(sys.Net.ChipChannelBW, sys.Net.ChipHopLat)
 	}
-	n.linkRef[n.rankBus] = LinkRef{Role: RefBus}
+	*bus = sim.MakeLink(sys.Net.RankBusBW, sys.Net.RankBusLat)
 	return n, nil
 }
 
+// classes splits the link arena into its ring segments, DQ send channels,
+// DQ receive channels and the bus.
+func (n *Network) classes() (ring, send, recv []sim.Link, bus *sim.Link) {
+	t := n.Topo
+	rings, chips := t.Ranks*t.Chips*t.Banks, t.Ranks*t.Chips
+	return n.links[:rings], n.links[rings : rings+chips], n.links[rings+chips : rings+2*chips],
+		&n.links[rings+2*chips]
+}
+
+// link resolves a ref to its arena slot. The ref must be inside the
+// network's topology; plans guarantee that by validating on construction.
+func (n *Network) link(ref LinkRef) *sim.Link { return &n.links[n.Topo.slot(ref)] }
+
 // Reset clears all reservations so the network can run another experiment.
 func (n *Network) Reset() {
-	for _, rank := range n.ringHop {
-		for _, chip := range rank {
-			for _, l := range chip {
-				l.Reset()
-			}
-		}
+	for i := range n.links {
+		n.links[i].Reset()
 	}
-	for r := range n.chipSend {
-		for c := range n.chipSend[r] {
-			n.chipSend[r][c].Reset()
-			n.chipRecv[r][c].Reset()
-		}
-	}
-	n.rankBus.Reset()
 }
 
 // SetTracer attaches a structured execution tracer at the given level;
@@ -163,18 +132,14 @@ func (n *Network) UtilSummary() *trace.Summary {
 // linkEndpoints resolves a link to its (from, to) trace coordinates: ring
 // segments connect bank b to its clockwise successor, DQ channels connect
 // a chip to the crossbar (-1), and the shared bus has no fixed endpoints.
-func (n *Network) linkEndpoints(l *sim.Link) (int32, int32) {
-	ref, ok := n.linkRef[l]
-	if !ok {
-		return -1, -1
-	}
+func (n *Network) linkEndpoints(ref LinkRef) (int32, int32) {
 	switch ref.Role {
 	case RefRing:
-		return int32(ref.Index), int32((ref.Index + 1) % n.Topo.Banks)
+		return ref.Index, (ref.Index + 1) % int32(n.Topo.Banks)
 	case RefChipSend:
-		return int32(ref.Chip), -1
+		return ref.Chip, -1
 	case RefChipRecv:
-		return -1, int32(ref.Chip)
+		return -1, ref.Chip
 	default:
 		return -1, -1
 	}
@@ -190,21 +155,24 @@ func (n *Network) physChip(chip int) int {
 	return n.chipOrder[chip]
 }
 
-// RingLink returns the ring segment from bank b to its clockwise successor
-// within (rank, chip).
-func (n *Network) RingLink(rank, chip, bank int) *sim.Link {
-	return n.ringHop[rank][n.physChip(chip)][bank]
+// ringRef names the ring segment from bank b to its clockwise successor
+// within (rank, logical chip).
+func (n *Network) ringRef(rank, chip, bank int) LinkRef {
+	return LinkRef{Role: RefRing, Rank: int32(rank), Chip: int32(n.physChip(chip)), Index: int32(bank)}
 }
 
-// ChipSendLink returns the chip's DQ send channel into the crossbar.
-func (n *Network) ChipSendLink(rank, chip int) *sim.Link {
-	return n.chipSend[rank][n.physChip(chip)]
+// sendRef names the logical chip's DQ send channel into the crossbar.
+func (n *Network) sendRef(rank, chip int) LinkRef {
+	return LinkRef{Role: RefChipSend, Rank: int32(rank), Chip: int32(n.physChip(chip))}
 }
 
-// ChipRecvLink returns the chip's DQ receive channel from the crossbar.
-func (n *Network) ChipRecvLink(rank, chip int) *sim.Link {
-	return n.chipRecv[rank][n.physChip(chip)]
+// recvRef names the logical chip's DQ receive channel from the crossbar.
+func (n *Network) recvRef(rank, chip int) LinkRef {
+	return LinkRef{Role: RefChipRecv, Rank: int32(rank), Chip: int32(n.physChip(chip))}
 }
+
+// busRef names the shared inter-rank DDR bus.
+var busRef = LinkRef{Role: RefBus}
 
 // chipPair emits the send/receive transfer pair of one crossbar hop from
 // logical chip a to logical chip b within rank. When the crossbar pairing
@@ -213,14 +181,10 @@ func (n *Network) ChipRecvLink(rank, chip int) *sim.Link {
 // through the wedged internal mux never arrives, which the executor turns
 // into a detection timeout.
 func (n *Network) chipPair(rank, a, b int, bytes int64) (Transfer, Transfer) {
-	pa, pb := n.physChip(a), n.physChip(b)
-	dead := n.deadPath[chipPath{rank, pa, pb}]
-	return Transfer{Link: n.chipSend[rank][pa], Kind: KindCrossbarPort, Bytes: bytes, Dead: dead},
-		Transfer{Link: n.chipRecv[rank][pb], Kind: KindCrossbarPort, Bytes: bytes, Dead: dead}
+	dead := n.deadPath[chipPath{rank, n.physChip(a), n.physChip(b)}]
+	return Transfer{Ref: n.sendRef(rank, a), Kind: KindCrossbarPort, Bytes: bytes, Dead: dead},
+		Transfer{Ref: n.recvRef(rank, b), Kind: KindCrossbarPort, Bytes: bytes, Dead: dead}
 }
-
-// Bus returns the shared inter-rank DDR bus.
-func (n *Network) Bus() *sim.Link { return n.rankBus }
 
 // SyncLatency returns the READY/START propagation cost for a collective
 // whose scope spans the given number of hierarchy levels: within one chip
@@ -245,21 +209,23 @@ func (n *Network) linkAt(site faults.Site, rank, chip, index int) (*sim.Link, er
 	if site != faults.SiteBus && (chip < 0 || chip >= n.Topo.Chips) {
 		return nil, fmt.Errorf("core: fault chip %d out of range [0,%d)", chip, n.Topo.Chips)
 	}
+	ref := LinkRef{Rank: int32(rank), Chip: int32(chip)}
 	switch site {
 	case faults.SiteRing:
 		if index < 0 || index >= n.Topo.Banks {
 			return nil, fmt.Errorf("core: fault ring segment %d out of range [0,%d)", index, n.Topo.Banks)
 		}
-		return n.ringHop[rank][chip][index], nil
+		ref.Role, ref.Index = RefRing, int32(index)
 	case faults.SiteChipSend:
-		return n.chipSend[rank][chip], nil
+		ref.Role = RefChipSend
 	case faults.SiteChipRecv:
-		return n.chipRecv[rank][chip], nil
+		ref.Role = RefChipRecv
 	case faults.SiteBus:
-		return n.rankBus, nil
+		ref = busRef
 	default:
 		return nil, fmt.Errorf("core: fault site %v does not name a link", site)
 	}
+	return n.link(ref), nil
 }
 
 // ApplyFault realizes one fault into the network. Straggler, corruption and
@@ -311,20 +277,9 @@ func (n *Network) ApplyFault(f faults.Fault) error {
 // ClearFaults repairs every link, forgets stuck crossbar pairings, and
 // drops any recompiled chip ordering, restoring the pristine topology.
 func (n *Network) ClearFaults() {
-	for _, rank := range n.ringHop {
-		for _, chip := range rank {
-			for _, l := range chip {
-				l.Restore()
-			}
-		}
+	for i := range n.links {
+		n.links[i].Restore()
 	}
-	for r := range n.chipSend {
-		for c := range n.chipSend[r] {
-			n.chipSend[r][c].Restore()
-			n.chipRecv[r][c].Restore()
-		}
-	}
-	n.rankBus.Restore()
 	n.deadPath = nil
 	n.chipOrder = nil
 }
@@ -336,23 +291,27 @@ func (n *Network) hasHardFaults() bool {
 	if len(n.deadPath) > 0 {
 		return true
 	}
-	for _, rank := range n.ringHop {
-		for _, chip := range rank {
-			for _, l := range chip {
-				if l.Failed() {
-					return true
-				}
-			}
+	for i := range n.links {
+		if n.links[i].Failed() {
+			return true
 		}
 	}
-	for r := range n.chipSend {
-		for c := range n.chipSend[r] {
-			if n.chipSend[r][c].Failed() || n.chipRecv[r][c].Failed() {
-				return true
-			}
+	return false
+}
+
+// Pristine reports whether the network is in its as-built state: no stuck
+// crossbar pairings, no recompiled chip ordering, and every link healthy.
+// Only pristine networks may serve or populate the shared plan cache.
+func (n *Network) Pristine() bool {
+	if len(n.deadPath) > 0 || n.chipOrder != nil {
+		return false
+	}
+	for i := range n.links {
+		if n.links[i].Faulty() {
+			return false
 		}
 	}
-	return n.rankBus.Failed()
+	return true
 }
 
 // ScaleBankBandwidth rewrites every ring segment for a new per-channel
@@ -362,12 +321,9 @@ func (n *Network) ScaleBankBandwidth(perChannelBW float64) {
 	sys.Net.BankChannelBW = perChannelBW
 	eff := sys.BankRingBW()
 	n.Sys = sys
-	for _, rank := range n.ringHop {
-		for _, chip := range rank {
-			for _, l := range chip {
-				l.SetBandwidth(eff)
-			}
-		}
+	ring, _, _, _ := n.classes()
+	for i := range ring {
+		ring[i].SetBandwidth(eff)
 	}
 }
 
@@ -376,11 +332,10 @@ func (n *Network) ScaleBankBandwidth(perChannelBW float64) {
 func (n *Network) ScaleGlobalBandwidth(factor float64) {
 	n.Sys.Net.ChipChannelBW *= factor
 	n.Sys.Net.RankBusBW *= factor
-	for r := range n.chipSend {
-		for c := range n.chipSend[r] {
-			n.chipSend[r][c].SetBandwidth(n.Sys.Net.ChipChannelBW)
-			n.chipRecv[r][c].SetBandwidth(n.Sys.Net.ChipChannelBW)
-		}
+	_, send, recv, bus := n.classes()
+	for i := range send {
+		send[i].SetBandwidth(n.Sys.Net.ChipChannelBW)
+		recv[i].SetBandwidth(n.Sys.Net.ChipChannelBW)
 	}
-	n.rankBus.SetBandwidth(n.Sys.Net.RankBusBW)
+	bus.SetBandwidth(n.Sys.Net.RankBusBW)
 }

@@ -2,14 +2,12 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sync"
 
 	"pimnet/internal/collective"
 	"pimnet/internal/config"
-	"pimnet/internal/sim"
 )
 
 // This file implements the compiled-plan cache. PIMnet's schedules are
@@ -18,13 +16,11 @@ import (
 // every repeated workload iteration, every worker of a parallel sweep — can
 // share one compilation instead of re-running the scheduler.
 //
-// A Plan references the *sim.Link objects of the Network it was compiled
-// for, so plans cannot be shared across networks directly (each sweep worker
-// owns its network, and links carry mutable reservation state). The cache
-// therefore stores Blueprints: the same schedule with every link named by
-// its coordinate in the topology instead of by pointer. Binding a blueprint
-// to a network is a pure lookup pass — no chunk geometry, no contention
-// analysis — which is what makes a cache hit cheap.
+// A Plan names links by LinkRef, not by pointer, so it is independent of
+// the Network it was compiled on, and the executor never writes to it: the
+// cache stores one immutable instance and every network of the same
+// topology replays it in place. A cache hit is a map lookup plus Bind's
+// topology and pristinity check.
 //
 // Invalidation rule: the shared cache only ever serves and learns from
 // pristine networks. Any hard fault, installed chip reordering, or
@@ -33,90 +29,28 @@ import (
 // the per-backend recovery state (ftState.dplans), never in the shared
 // cache. ClearFaults restores pristinity and with it cache eligibility.
 
-// LinkRole classifies which resource array of a Network a LinkRef indexes.
-type LinkRole uint8
-
-// Link roles, in the order NewNetwork builds the arrays.
-const (
-	RefRing     LinkRole = iota // ringHop[rank][chip][index]
-	RefChipSend                 // chipSend[rank][chip]
-	RefChipRecv                 // chipRecv[rank][chip]
-	RefBus                      // rankBus
-)
-
-// LinkRef names one network resource by coordinate instead of pointer, so a
-// compiled schedule can be re-instantiated on any network of the same
-// topology. Index is the bank for ring segments and unused otherwise.
-type LinkRef struct {
-	Role              LinkRole
-	Rank, Chip, Index int
-}
-
-// BlueprintTransfer is one scheduled reservation in coordinate form. Dead
-// transfers never appear in blueprints: blueprints are only extracted from
-// plans compiled on pristine networks.
-type BlueprintTransfer struct {
-	Ref   LinkRef
-	Kind  Kind
-	Bytes int64
-}
-
-// BlueprintStep mirrors Step.
-type BlueprintStep struct {
-	Transfers          []BlueprintTransfer
-	ReduceBytesPerNode int64
-}
-
-// BlueprintPhase mirrors Phase.
-type BlueprintPhase struct {
-	Name      string
-	Tier      Tier
-	Pipelined bool
-	Steps     []BlueprintStep
-}
-
-// Blueprint is a network-independent compiled plan: the cacheable,
-// digestible artifact the host would persist and re-upload.
-type Blueprint struct {
-	Req      collective.Request
-	Topo     Topology
-	MemBytes int64
-	Phases   []BlueprintPhase
-}
-
-// BlueprintOf extracts the coordinate-form schedule from a plan compiled on
-// n. It fails if any transfer references a link the network does not own or
-// rides a dead route (both mean the plan is not a cacheable healthy plan).
+// BlueprintOf checks that a plan compiled on n is cacheable and returns it
+// unchanged: it must match n's topology and ride no dead route (a dead
+// transfer means the plan was compiled around faults).
 func BlueprintOf(p *Plan, n *Network) (*Blueprint, error) {
-	bp := &Blueprint{Req: p.Req, Topo: p.Topo, MemBytes: p.MemBytes}
-	bp.Phases = make([]BlueprintPhase, len(p.Phases))
-	for pi, ph := range p.Phases {
-		bph := BlueprintPhase{Name: ph.Name, Tier: ph.Tier, Pipelined: ph.Pipelined}
-		bph.Steps = make([]BlueprintStep, len(ph.Steps))
+	if p.Topo != n.Topo {
+		return nil, fmt.Errorf("core: plan topology %v != network topology %v", p.Topo, n.Topo)
+	}
+	for _, ph := range p.Phases {
 		for si, st := range ph.Steps {
-			bst := BlueprintStep{ReduceBytesPerNode: st.ReduceBytesPerNode}
-			bst.Transfers = make([]BlueprintTransfer, len(st.Transfers))
-			for ti, tr := range st.Transfers {
+			for _, tr := range st.Transfers {
 				if tr.Dead {
 					return nil, fmt.Errorf("core: phase %s step %d: dead transfer is not cacheable", ph.Name, si)
 				}
-				ref, ok := n.linkRef[tr.Link]
-				if !ok {
-					return nil, fmt.Errorf("core: phase %s step %d: transfer link %s not owned by network",
-						ph.Name, si, tr.Link.Name())
-				}
-				bst.Transfers[ti] = BlueprintTransfer{Ref: ref, Kind: tr.Kind, Bytes: tr.Bytes}
 			}
-			bph.Steps[si] = bst
 		}
-		bp.Phases[pi] = bph
 	}
-	return bp, nil
+	return p, nil
 }
 
-// Bind instantiates the blueprint on a network of the same topology. The
-// network must be pristine: Bind resolves coordinates to physical resources
-// directly, without the fault-recompilation chip remap.
+// Bind checks that the blueprint may run on n and returns it unchanged: the
+// topologies must be equal and the network pristine, because a blueprint's
+// refs name physical links without the fault-recompilation chip remap.
 func (b *Blueprint) Bind(n *Network) (*Plan, error) {
 	if n.Topo != b.Topo {
 		return nil, fmt.Errorf("core: blueprint topology %v != network topology %v", b.Topo, n.Topo)
@@ -124,76 +58,7 @@ func (b *Blueprint) Bind(n *Network) (*Plan, error) {
 	if !n.Pristine() {
 		return nil, fmt.Errorf("core: cannot bind cached plan to a faulted network")
 	}
-	p := &Plan{Req: b.Req, Topo: b.Topo, MemBytes: b.MemBytes}
-	p.Phases = make([]Phase, len(b.Phases))
-	for pi, bph := range b.Phases {
-		ph := Phase{Name: bph.Name, Tier: bph.Tier, Pipelined: bph.Pipelined}
-		ph.Steps = make([]Step, len(bph.Steps))
-		for si, bst := range bph.Steps {
-			st := Step{ReduceBytesPerNode: bst.ReduceBytesPerNode}
-			st.Transfers = make([]Transfer, len(bst.Transfers))
-			for ti, btr := range bst.Transfers {
-				l, err := n.resolveRef(btr.Ref)
-				if err != nil {
-					return nil, err
-				}
-				st.Transfers[ti] = Transfer{Link: l, Kind: btr.Kind, Bytes: btr.Bytes}
-			}
-			ph.Steps[si] = st
-		}
-		p.Phases[pi] = ph
-	}
-	// Blueprints are only ever extracted from plans that passed the
-	// contention check, and binding maps coordinates to links one-to-one, so
-	// the bound plan inherits the verification.
-	p.verified = true
-	return p, nil
-}
-
-// Digest returns a hex SHA-256 over the canonical binary encoding of the
-// blueprint — the identity of the compiled artifact. The golden-trace
-// corpus pins these digests; any change to the compiler's output changes
-// them and must be an intentional, reviewed regeneration.
-func (b *Blueprint) Digest() string {
-	h := sha256.New()
-	w := func(vs ...int64) {
-		for _, v := range vs {
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], uint64(v))
-			h.Write(buf[:])
-		}
-	}
-	w(int64(b.Req.Pattern), int64(b.Req.Op), b.Req.BytesPerNode,
-		int64(b.Req.ElemSize), int64(b.Req.Nodes), int64(b.Req.Root))
-	w(int64(b.Topo.Ranks), int64(b.Topo.Chips), int64(b.Topo.Banks), b.MemBytes)
-	w(int64(len(b.Phases)))
-	for _, ph := range b.Phases {
-		w(int64(len(ph.Name)))
-		h.Write([]byte(ph.Name))
-		pipe := int64(0)
-		if ph.Pipelined {
-			pipe = 1
-		}
-		w(int64(ph.Tier), pipe, int64(len(ph.Steps)))
-		for _, st := range ph.Steps {
-			w(st.ReduceBytesPerNode, int64(len(st.Transfers)))
-			for _, tr := range st.Transfers {
-				w(int64(tr.Ref.Role), int64(tr.Ref.Rank), int64(tr.Ref.Chip),
-					int64(tr.Ref.Index), int64(tr.Kind), tr.Bytes)
-			}
-		}
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-// PlanDigest compiles nothing: it extracts and digests the blueprint of an
-// already-compiled plan (diagnostics; the golden-trace corpus).
-func PlanDigest(p *Plan, n *Network) (string, error) {
-	bp, err := BlueprintOf(p, n)
-	if err != nil {
-		return "", err
-	}
-	return bp.Digest(), nil
+	return b, nil
 }
 
 // PlanKey identifies one compilation point. config.System and
@@ -326,8 +191,8 @@ func (c *PlanCache) Lookup(k PlanKey) (*Blueprint, bool) {
 	return nil, false
 }
 
-// Insert stores bp under k. Blueprints are immutable after insertion; both
-// the cache and every binder share the same instance. With persistence
+// Insert stores bp under k. Blueprints are immutable after insertion; the
+// cache and every network that replays it share the same instance. With persistence
 // attached the fill is written behind to the durable store as well (the
 // pristine-only rule is upstream: only blueprints extracted from pristine
 // networks ever reach Insert).
@@ -381,55 +246,4 @@ func PlanVia(c *PlanCache, n *Network, req collective.Request) (*Plan, error) {
 	}
 	c.Insert(k, bp)
 	return p, nil
-}
-
-// resolveRef maps a coordinate back to the physical link, bounds-checked so
-// a blueprint from a mismatched topology cannot index out of range.
-func (n *Network) resolveRef(ref LinkRef) (*sim.Link, error) {
-	switch ref.Role {
-	case RefBus:
-		return n.rankBus, nil
-	case RefRing:
-		if ref.Rank < 0 || ref.Rank >= n.Topo.Ranks || ref.Chip < 0 || ref.Chip >= n.Topo.Chips ||
-			ref.Index < 0 || ref.Index >= n.Topo.Banks {
-			return nil, fmt.Errorf("core: ring ref %+v outside topology %v", ref, n.Topo)
-		}
-		return n.ringHop[ref.Rank][ref.Chip][ref.Index], nil
-	case RefChipSend, RefChipRecv:
-		if ref.Rank < 0 || ref.Rank >= n.Topo.Ranks || ref.Chip < 0 || ref.Chip >= n.Topo.Chips {
-			return nil, fmt.Errorf("core: chip ref %+v outside topology %v", ref, n.Topo)
-		}
-		if ref.Role == RefChipSend {
-			return n.chipSend[ref.Rank][ref.Chip], nil
-		}
-		return n.chipRecv[ref.Rank][ref.Chip], nil
-	default:
-		return nil, fmt.Errorf("core: unknown link role %d", ref.Role)
-	}
-}
-
-// Pristine reports whether the network is in its as-built state: no stuck
-// crossbar pairings, no recompiled chip ordering, and every link healthy.
-// Only pristine networks may serve or populate the shared plan cache.
-func (n *Network) Pristine() bool {
-	if len(n.deadPath) > 0 || n.chipOrder != nil {
-		return false
-	}
-	for _, rank := range n.ringHop {
-		for _, chip := range rank {
-			for _, l := range chip {
-				if l.Faulty() {
-					return false
-				}
-			}
-		}
-	}
-	for r := range n.chipSend {
-		for c := range n.chipSend[r] {
-			if n.chipSend[r][c].Faulty() || n.chipRecv[r][c].Faulty() {
-				return false
-			}
-		}
-	}
-	return !n.rankBus.Faulty()
 }

@@ -9,7 +9,8 @@ import (
 // The cold/warm pair isolates what the cache saves: ColdCompile runs the
 // full scheduler (chunk geometry, route construction, contention analysis)
 // for the heaviest Table V plan; WarmBind replays the same point through a
-// populated cache, which reduces to a coordinate-to-link lookup pass.
+// populated cache, which reduces to a map lookup plus Bind's topology and
+// pristinity check.
 
 func BenchmarkPlanColdCompile(b *testing.B) {
 	b.ReportAllocs()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"pimnet/internal/collective"
@@ -25,9 +27,9 @@ func testReq(pat collective.Pattern, nodes int, bytes int64) collective.Request 
 		BytesPerNode: bytes, ElemSize: 4, Nodes: nodes}
 }
 
-// TestBlueprintRoundTrip: lifting a plan into a blueprint and binding it on
-// a second, independently built network must execute to the identical
-// result, and both plans must share one digest.
+// TestBlueprintRoundTrip: a plan compiled on one network passes
+// BlueprintOf and Bind onto a second, independently built network without
+// being copied, and executes there to the identical result.
 func TestBlueprintRoundTrip(t *testing.T) {
 	for _, pat := range []collective.Pattern{collective.AllReduce, collective.AllGather,
 		collective.ReduceScatter, collective.AllToAll, collective.Broadcast} {
@@ -46,16 +48,8 @@ func TestBlueprintRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: Bind: %v", pat, err)
 		}
-		d1, err := PlanDigest(plan, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d2, err := PlanDigest(bound, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d1 != d2 {
-			t.Errorf("%v: digest changed across bind: %s vs %s", pat, d1, d2)
+		if bp != plan || bound != plan {
+			t.Errorf("%v: BlueprintOf or Bind copied the plan", pat)
 		}
 		r1, err := src.Execute(plan)
 		if err != nil {
@@ -68,6 +62,67 @@ func TestBlueprintRoundTrip(t *testing.T) {
 		if r1.Time != r2.Time || r1.Breakdown != r2.Breakdown {
 			t.Errorf("%v: bound plan executed differently: %v vs %v", pat, r1, r2)
 		}
+	}
+}
+
+// TestCachedPlanRunsConcurrently: the executor never writes to a plan, so
+// one cached instance serves every network that replays it. Eight networks
+// run one cached 256-DPU AllToAll concurrently through a shared cache (run
+// it under -race); each gets the cached instance itself and the identical
+// result.
+func TestCachedPlanRunsConcurrently(t *testing.T) {
+	const workers = 8
+	c := NewPlanCache()
+	req := testReq(collective.AllToAll, 256, 32<<10)
+	first := testNet(t, 256)
+	cached, err := PlanVia(c, first, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := first.Execute(cached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := make([]*Network, workers)
+	for i := range nets {
+		nets[i] = testNet(t, 256)
+	}
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i, n := range nets {
+		wg.Add(1)
+		go func(i int, n *Network) {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				p, err := PlanVia(c, n, req)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				if p != cached {
+					errs[i] = fmt.Errorf("network %d: cache hit returned a copy", i)
+					return
+				}
+				got, err := n.Execute(p)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				if got != want {
+					errs[i] = fmt.Errorf("network %d run %d: %v, want %v", i, rep, got, want)
+					return
+				}
+			}
+		}(i, n)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Hits != workers*3 {
+		t.Fatalf("cache stats %+v, want 1 miss and %d hits", s, workers*3)
 	}
 }
 
@@ -97,7 +152,7 @@ func TestBlueprintBindRejectsFaultedNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := testNet(t, 256)
-	dst.ringHop[0][0][0].Degrade(0.5)
+	dst.link(LinkRef{Role: RefRing}).Degrade(0.5)
 	if !dst.Pristine() {
 		// expected: degraded link breaks pristinity
 	} else {
@@ -106,7 +161,7 @@ func TestBlueprintBindRejectsFaultedNetwork(t *testing.T) {
 	if _, err := bp.Bind(dst); err == nil {
 		t.Fatal("bound a cached plan to a faulted network")
 	}
-	dst.ringHop[0][0][0].Restore()
+	dst.link(LinkRef{Role: RefRing}).Restore()
 	if !dst.Pristine() {
 		t.Fatal("restored network not pristine")
 	}
@@ -152,7 +207,7 @@ func TestPlanViaBypassesFaultedNetwork(t *testing.T) {
 	c := NewPlanCache()
 	n := testNet(t, 64)
 	req := testReq(collective.AllReduce, 64, 4096)
-	n.ringHop[0][0][0].Degrade(0.25)
+	n.link(LinkRef{Role: RefRing}).Degrade(0.25)
 
 	plan, err := PlanVia(c, n, req)
 	if err != nil {
@@ -165,7 +220,7 @@ func TestPlanViaBypassesFaultedNetwork(t *testing.T) {
 		t.Fatalf("faulted network touched the cache: %+v", s)
 	}
 	// Restoration re-enables caching (the ClearFaults story).
-	n.ringHop[0][0][0].Restore()
+	n.link(LinkRef{Role: RefRing}).Restore()
 	if _, err := PlanVia(c, n, req); err != nil {
 		t.Fatal(err)
 	}

@@ -66,3 +66,41 @@ func (t Topology) SameRank(a, b NodeID) bool {
 func (t Topology) String() string {
 	return fmt.Sprintf("%dx%dx%d", t.Ranks, t.Chips, t.Banks)
 }
+
+// links returns the size of a network's link arena: one ring segment per
+// bank, one DQ send and one DQ receive channel per chip, and the bus.
+func (t Topology) links() int { return t.Ranks*t.Chips*(t.Banks+2) + 1 }
+
+// slot maps a ref to its link-arena index. The arena stores the ring
+// segments ([rank][chip][bank]), then the DQ send channels ([rank][chip]),
+// then the DQ receive channels, then the bus. The ref must be inside the
+// topology (see contains).
+func (t Topology) slot(ref LinkRef) int {
+	rc := int(ref.Rank)*t.Chips + int(ref.Chip)
+	switch ref.Role {
+	case RefRing:
+		return rc*t.Banks + int(ref.Index)
+	case RefChipSend:
+		return t.Ranks*t.Chips*t.Banks + rc
+	case RefChipRecv:
+		return t.Ranks*t.Chips*(t.Banks+1) + rc
+	default:
+		return t.Ranks * t.Chips * (t.Banks + 2)
+	}
+}
+
+// contains reports whether ref names a link of this topology, with every
+// coordinate its role does not use set to zero.
+func (t Topology) contains(ref LinkRef) bool {
+	inChip := ref.Rank >= 0 && int(ref.Rank) < t.Ranks && ref.Chip >= 0 && int(ref.Chip) < t.Chips
+	switch ref.Role {
+	case RefRing:
+		return inChip && ref.Index >= 0 && int(ref.Index) < t.Banks
+	case RefChipSend, RefChipRecv:
+		return inChip && ref.Index == 0
+	case RefBus:
+		return ref.Rank == 0 && ref.Chip == 0 && ref.Index == 0
+	default:
+		return false
+	}
+}

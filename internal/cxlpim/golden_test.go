@@ -91,11 +91,7 @@ func resultFor(t *testing.T, pat collective.Pattern, dpus int) goldenResult {
 		if err != nil {
 			t.Fatalf("PlanVia(%+v): %v", sub, err)
 		}
-		digest, err := core.PlanDigest(plan, c.Network())
-		if err != nil {
-			t.Fatalf("PlanDigest: %v", err)
-		}
-		out.IntraDigests = append(out.IntraDigests, digest)
+		out.IntraDigests = append(out.IntraDigests, plan.Digest())
 	}
 	return out
 }

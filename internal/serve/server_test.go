@@ -142,13 +142,16 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 // payloads; every response for a given payload must be byte-identical
 // whether its plan was compiled or bound from cache, coalesced or not.
 func TestConcurrentMixedRequestsDeterministic(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
 	payloads := []string{
 		`{"pattern": "allreduce", "bytes_per_node": 4096, "dpus": 64}`,
 		`{"pattern": "alltoall", "bytes_per_node": 4096, "dpus": 64}`,
 		`{"pattern": "broadcast", "bytes_per_node": 8192, "dpus": 64}`,
 		`{"backend": "baseline", "pattern": "allreduce", "bytes_per_node": 4096, "dpus": 64}`,
 	}
+	// Identical requests coalesce, so at most one leader per payload waits
+	// for a slot: a queue that deep means no request is shed, and the test
+	// checks determinism rather than admission.
+	_, ts := newTestServer(t, Config{QueueDepth: len(payloads)})
 	const perPayload = 8
 	var wg sync.WaitGroup
 	got := make([][][]byte, len(payloads))

@@ -33,7 +33,15 @@ type Link struct {
 // NewLink returns a link with the given bandwidth (bytes/second) and
 // propagation latency.
 func NewLink(name string, bwBytesPerSec float64, latency Time) *Link {
-	return &Link{name: name, bwBps: bwBytesPerSec, latency: latency, degrade: 1}
+	l := MakeLink(bwBytesPerSec, latency)
+	l.name = name
+	return &l
+}
+
+// MakeLink returns an unnamed link by value, for owners that store links in
+// a flat arena and format names from their own coordinates.
+func MakeLink(bwBytesPerSec float64, latency Time) Link {
+	return Link{bwBps: bwBytesPerSec, latency: latency, degrade: 1}
 }
 
 // Name returns the link's diagnostic name.

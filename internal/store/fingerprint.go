@@ -59,11 +59,7 @@ func Fingerprint() (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("store: fingerprint probe %v/%d: %w", p.pattern, p.dpus, err)
 		}
-		bp, err := core.BlueprintOf(plan, n)
-		if err != nil {
-			return "", fmt.Errorf("store: fingerprint probe %v/%d: %w", p.pattern, p.dpus, err)
-		}
-		io.WriteString(h, bp.Digest()+"\n")
+		io.WriteString(h, plan.Digest()+"\n")
 	}
 	return fmt.Sprintf("%x", h.Sum(nil)), nil
 }

@@ -44,11 +44,7 @@ func compile(t *testing.T, dpus int) (core.PlanKey, *core.Blueprint) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := core.BlueprintOf(plan, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return core.KeyFor(n, req), bp
+	return core.KeyFor(n, req), plan
 }
 
 // TestPlanAdapterRoundTrip: a blueprint stored through the adapter loads

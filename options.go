@@ -238,8 +238,7 @@ func NewBackend(kind BackendKind, sys System, opts ...Option) (Backend, error) {
 }
 
 // newPIMnetWith assembles the PIMnet backend from a merged option set; it is
-// the single construction path behind NewPIMnet, NewBackend(PIMnet, ...),
-// and the deprecated NewFaultyPIMnet.
+// the single construction path behind NewPIMnet and NewBackend(PIMnet, ...).
 func newPIMnetWith(sys System, cfg buildConfig) (*core.PIMnet, error) {
 	p, err := core.NewPIMnet(sys)
 	if err != nil {
