@@ -25,8 +25,11 @@ build:
 test:
 	$(GO) test ./...
 
+# Static analysis: go vet, and every Go file gofmt-clean.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 # The CI gate: static analysis, the race-enabled suite (which includes the
 # persistent store's crash/corruption/concurrency battery), and the coverage

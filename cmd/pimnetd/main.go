@@ -311,7 +311,7 @@ func run(o options, workers []string, quotas map[string]int) error {
 			return err
 		}
 		cfg.Sweeper = coord
-		cfg.ClusterMetrics = func() any { return coord.MetricsSnapshot() }
+		cfg.ClusterMetrics = coord.MetricsSnapshot
 	}
 	s = serve.New(cfg)
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"pimnet/internal/core"
+	"pimnet/internal/metrics"
 	"pimnet/internal/serve"
 	"pimnet/internal/trace"
 )
@@ -153,7 +154,7 @@ func TestClusterSweepMatchesSingleNode(t *testing.T) {
 
 	srv := serve.New(serve.Config{
 		Sweeper:        f.coord,
-		ClusterMetrics: func() any { return f.coord.MetricsSnapshot() },
+		ClusterMetrics: f.coord.MetricsSnapshot,
 	})
 	front := httptest.NewServer(srv)
 	defer front.Close()
@@ -166,9 +167,37 @@ func TestClusterSweepMatchesSingleNode(t *testing.T) {
 		t.Fatalf("chunks dispatched = %d, want 3", n)
 	}
 
-	cl, ok := srv.Snapshot().Cluster.(Snapshot)
-	if !ok || len(cl.Workers) != 3 || cl.HealthyWorkers != 3 {
-		t.Fatalf("metrics cluster section = %+v (ok=%v)", cl, ok)
+	cl := srv.Snapshot().Cluster
+	if cl == nil || len(cl.Workers) != 3 || cl.HealthyWorkers != 3 {
+		t.Fatalf("metrics cluster section = %+v", cl)
+	}
+
+	// The same counters reach the Prometheus exposition.
+	resp, err := http.Get(front.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape, err := metrics.ValidateProm(string(body))
+	if err != nil {
+		t.Fatalf("/metrics is not valid exposition text: %v", err)
+	}
+	series := map[string]float64{}
+	for _, s := range scrape.Series {
+		series[s.Name] = s.Value
+	}
+	for name, want := range map[string]float64{
+		"pimnetd_cluster_workers":         3,
+		"pimnetd_cluster_healthy_workers": 3,
+		"pimnetd_cluster_chunks_total":    3,
+	} {
+		if v, ok := series[name]; !ok || v != want {
+			t.Errorf("%s = %v (present %v), want %v", name, v, ok, want)
+		}
 	}
 }
 

@@ -1,10 +1,15 @@
 package cluster
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"pimnet/internal/serve"
+)
 
 // Metrics aggregates the coordinator's dispatch and fleet-health counters.
-// Everything is atomic; the snapshot is embedded in the serving tier's
-// GET /metrics as the "cluster" section.
+// Everything is atomic; the serving tier renders the snapshot as the
+// pimnetd_cluster_* families of GET /metrics and the "cluster" section of
+// Server.Snapshot.
 type Metrics struct {
 	sweeps       atomic.Uint64 // distributed sweeps started
 	chunks       atomic.Uint64 // chunks dispatched (first attempts)
@@ -19,35 +24,10 @@ type Metrics struct {
 	readmissions  atomic.Uint64
 }
 
-// WorkerStatus is one worker's health snapshot.
-type WorkerStatus struct {
-	Addr                string `json:"addr"`
-	State               string `json:"state"`
-	ConsecutiveFailures int    `json:"consecutive_failures"`
-}
-
-// Snapshot is the wire form of the coordinator's counters.
-type Snapshot struct {
-	Workers        []WorkerStatus `json:"workers"`
-	HealthyWorkers int            `json:"healthy_workers"`
-
-	Sweeps         uint64 `json:"sweeps"`
-	Chunks         uint64 `json:"chunks"`
-	ChunkRetries   uint64 `json:"chunk_retries"`
-	ChunkHedges    uint64 `json:"chunk_hedges"`
-	ChunkLocalRuns uint64 `json:"chunk_local_runs"`
-	DispatchErrors uint64 `json:"dispatch_errors"`
-
-	Probes        uint64 `json:"probes"`
-	ProbeFailures uint64 `json:"probe_failures"`
-	Ejections     uint64 `json:"ejections"`
-	Readmissions  uint64 `json:"readmissions"`
-}
-
 // MetricsSnapshot renders the coordinator's current counters and per-worker
 // health.
-func (c *Coordinator) MetricsSnapshot() Snapshot {
-	s := Snapshot{
+func (c *Coordinator) MetricsSnapshot() serve.ClusterSnapshot {
+	s := serve.ClusterSnapshot{
 		Sweeps:         c.met.sweeps.Load(),
 		Chunks:         c.met.chunks.Load(),
 		ChunkRetries:   c.met.retries.Load(),
@@ -61,7 +41,7 @@ func (c *Coordinator) MetricsSnapshot() Snapshot {
 	}
 	for _, w := range c.reg.workers {
 		w.mu.Lock()
-		st := WorkerStatus{Addr: w.addr, State: w.state.String(), ConsecutiveFailures: w.consecFails}
+		st := serve.ClusterWorker{Addr: w.addr, State: w.state.String(), ConsecutiveFailures: w.consecFails}
 		healthy := w.state == StateHealthy
 		w.mu.Unlock()
 		s.Workers = append(s.Workers, st)

@@ -90,7 +90,7 @@ func clampRoot(root, n int) int {
 // reduction of all contributions.
 func verifyAllReduce(ranks, chips, banks, words int, op Op, seed int64) error {
 	d := NewData(ranks*chips*banks, words, seed)
-	want := ReduceVector(d.Clone(), op)
+	want := ReduceVector(d, op)
 	if err := HierarchicalAllReduce(d, ranks, chips, banks, op); err != nil {
 		return err
 	}
@@ -106,7 +106,7 @@ func verifyAllReduce(ranks, chips, banks, words int, op Op, seed int64) error {
 // reduction over that shard.
 func verifyReduceScatter(ranks, chips, banks, words int, op Op, seed int64) error {
 	d := NewData(ranks*chips*banks, words, seed)
-	want := ReduceVector(d.Clone(), op)
+	want := ReduceVector(d, op)
 	if err := HierarchicalReduceScatter(d, ranks, chips, banks, op); err != nil {
 		return err
 	}

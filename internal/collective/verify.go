@@ -69,7 +69,12 @@ func ReduceVector(d Data, op Op) []int64 {
 
 // RingReduceScatter executes the ring reduce-scatter algorithm in place.
 // Afterwards node i holds the fully reduced chunk OwnedAfterRS(n, i) (its
-// other chunks contain partial sums and are unspecified).
+// other chunks contain partial sums and are unspecified). Node vectors must
+// not alias one another.
+//
+// All sends of a step happen logically in parallel, yet each is applied
+// directly: at step s node i reads chunk i-s and is written chunk i-s-1, so
+// no chunk is both read and written within a step.
 func RingReduceScatter(d Data, op Op) {
 	n := len(d)
 	if n <= 1 {
@@ -77,22 +82,11 @@ func RingReduceScatter(d Data, op Op) {
 	}
 	words := len(d[0])
 	for s := 0; s < RingSteps(n); s++ {
-		// All sends happen logically in parallel: snapshot outgoing chunks
-		// before applying any reductions.
-		type msg struct {
-			dst, chunk int
-			payload    []int64
-		}
-		msgs := make([]msg, 0, n)
 		for i := 0; i < n; i++ {
-			c := RSSendChunk(n, i, s)
-			lo, hi := ChunkBounds(words, n, c)
-			msgs = append(msgs, msg{RingSuccessor(n, i), c, append([]int64(nil), d[i][lo:hi]...)})
-		}
-		for _, m := range msgs {
-			lo, _ := ChunkBounds(words, n, m.chunk)
-			for k, v := range m.payload {
-				d[m.dst][lo+k] = op.Apply(d[m.dst][lo+k], v)
+			lo, hi := ChunkBounds(words, n, RSSendChunk(n, i, s))
+			dst := d[RingSuccessor(n, i)][lo:hi]
+			for k, v := range d[i][lo:hi] {
+				dst[k] = op.Apply(dst[k], v)
 			}
 		}
 	}
@@ -100,6 +94,8 @@ func RingReduceScatter(d Data, op Op) {
 
 // RingAllGather executes the ring all-gather in place, assuming node i's
 // chunk OwnedAfterRS(n, i) is authoritative (the reduce-scatter postcondition).
+// As in RingReduceScatter, node i reads chunk i+1-s and is written chunk i-s
+// at step s, so each send is applied directly.
 func RingAllGather(d Data) {
 	n := len(d)
 	if n <= 1 {
@@ -107,19 +103,9 @@ func RingAllGather(d Data) {
 	}
 	words := len(d[0])
 	for s := 0; s < RingSteps(n); s++ {
-		type msg struct {
-			dst, chunk int
-			payload    []int64
-		}
-		msgs := make([]msg, 0, n)
 		for i := 0; i < n; i++ {
-			c := AGSendChunk(n, i, s)
-			lo, hi := ChunkBounds(words, n, c)
-			msgs = append(msgs, msg{RingSuccessor(n, i), c, append([]int64(nil), d[i][lo:hi]...)})
-		}
-		for _, m := range msgs {
-			lo, _ := ChunkBounds(words, n, m.chunk)
-			copy(d[m.dst][lo:lo+len(m.payload)], m.payload)
+			lo, hi := ChunkBounds(words, n, AGSendChunk(n, i, s))
+			copy(d[RingSuccessor(n, i)][lo:hi], d[i][lo:hi])
 		}
 	}
 }

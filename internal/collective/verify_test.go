@@ -242,3 +242,104 @@ func TestAllReduceEquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// verifyAllReduce256 is the check the recovery ladder runs after a faulted
+// AllReduce on the paper's 4x8x8 channel: 4096 words per node, 8 MB in all.
+var verifyAllReduce256 = Request{Pattern: AllReduce, Op: Sum, BytesPerNode: 4096 * 4, ElemSize: 4, Nodes: 256}
+
+func BenchmarkVerifyAllReduce256(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := Verify(verifyAllReduce256, 4, 8, 8, int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// snapshotReduceScatter is the reference ring reduce-scatter: every step
+// copies all outgoing chunks before applying any of them, the literal
+// reading of "all sends happen in parallel".
+func snapshotReduceScatter(d Data, op Op) {
+	n := len(d)
+	if n <= 1 {
+		return
+	}
+	words := len(d[0])
+	for s := 0; s < RingSteps(n); s++ {
+		out := make([][]int64, n)
+		for i := range out {
+			lo, hi := ChunkBounds(words, n, RSSendChunk(n, i, s))
+			out[i] = append([]int64(nil), d[i][lo:hi]...)
+		}
+		for i, payload := range out {
+			lo, _ := ChunkBounds(words, n, RSSendChunk(n, i, s))
+			dst := d[RingSuccessor(n, i)]
+			for k, v := range payload {
+				dst[lo+k] = op.Apply(dst[lo+k], v)
+			}
+		}
+	}
+}
+
+// snapshotAllGather is the reference ring all-gather, snapshotting like
+// snapshotReduceScatter.
+func snapshotAllGather(d Data) {
+	n := len(d)
+	if n <= 1 {
+		return
+	}
+	words := len(d[0])
+	for s := 0; s < RingSteps(n); s++ {
+		out := make([][]int64, n)
+		for i := range out {
+			lo, hi := ChunkBounds(words, n, AGSendChunk(n, i, s))
+			out[i] = append([]int64(nil), d[i][lo:hi]...)
+		}
+		for i, payload := range out {
+			lo, _ := ChunkBounds(words, n, AGSendChunk(n, i, s))
+			copy(d[RingSuccessor(n, i)][lo:], payload)
+		}
+	}
+}
+
+// TestInPlaceRingsMatchSnapshot checks that applying each ring send
+// directly gives the same bytes as snapshotting every step, on every node
+// and word (partial sums included), for uneven chunkings and payloads
+// smaller than the ring.
+func TestInPlaceRingsMatchSnapshot(t *testing.T) {
+	for _, op := range []Op{Sum, Min, Max, Or} {
+		for n := 1; n <= 17; n++ {
+			for _, words := range []int{1, 3, n - 1, n, n + 1, 2*n + 3, 61} {
+				if words < 1 {
+					continue
+				}
+				seed := int64(n*1000 + words)
+				got, want := NewData(n, words, seed), NewData(n, words, seed)
+				RingReduceScatter(got, op)
+				snapshotReduceScatter(want, op)
+				if !got.Equal(want) {
+					t.Fatalf("reduce-scatter op=%v n=%d words=%d differs from snapshot", op, n, words)
+				}
+				RingAllGather(got)
+				snapshotAllGather(want)
+				if !got.Equal(want) {
+					t.Fatalf("all-gather op=%v n=%d words=%d differs from snapshot", op, n, words)
+				}
+			}
+		}
+	}
+}
+
+// TestVerifyAllReduceAllocs pins the allocations of the recovery ladder's
+// AllReduce check at 256 DPUs: the payload and its sub-ring group headers,
+// with no per-step chunk copies and no clone of the payload.
+func TestVerifyAllReduceAllocs(t *testing.T) {
+	avg := testing.AllocsPerRun(2, func() {
+		if err := Verify(verifyAllReduce256, 4, 8, 8, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 451 {
+		t.Fatalf("Verify(AllReduce, 4x8x8, 4096 words) = %v allocs, want <= 451", avg)
+	}
+}

@@ -9,7 +9,7 @@ package graphgen
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Graph is an undirected graph in compressed-sparse-row form.
@@ -73,8 +73,9 @@ func RMAT(cfg RMATConfig) (*Graph, error) {
 		levels++
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	type edge struct{ u, v int32 }
-	edges := make([]edge, 0, cfg.Edges)
+	// Each directed edge is one key, u in the high word: sorting the keys
+	// orders edges by (u, v), and duplicates become adjacent.
+	keys := make([]uint64, 0, 2*cfg.Edges)
 	for i := int64(0); i < cfg.Edges; i++ {
 		var u, v int
 		for l := 0; l < levels; l++ {
@@ -96,29 +97,23 @@ func RMAT(cfg RMATConfig) (*Graph, error) {
 		if u == v {
 			continue
 		}
-		edges = append(edges, edge{int32(u), int32(v)}, edge{int32(v), int32(u)})
+		keys = append(keys, edgeKey(u, v), edgeKey(v, u))
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].v < edges[j].v
-	})
-	g := &Graph{N: cfg.Vertices, Offsets: make([]int64, cfg.Vertices+1)}
-	var prev edge = edge{-1, -1}
-	for _, e := range edges {
-		if e == prev {
-			continue
-		}
-		prev = e
-		g.Edges = append(g.Edges, e.v)
-		g.Offsets[e.u+1]++
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	g := &Graph{N: cfg.Vertices, Offsets: make([]int64, cfg.Vertices+1), Edges: make([]int32, len(keys))}
+	for i, k := range keys {
+		g.Edges[i] = int32(uint32(k))
+		g.Offsets[k>>32+1]++
 	}
 	for v := 0; v < cfg.Vertices; v++ {
 		g.Offsets[v+1] += g.Offsets[v]
 	}
 	return g, nil
 }
+
+// edgeKey packs the directed edge u->v into one sortable key.
+func edgeKey(u, v int) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
 
 // BFSResult records one breadth-first traversal.
 type BFSResult struct {

@@ -180,9 +180,9 @@ type network struct {
 func newNetwork(eng *sim.Engine, f *fabric, cfg Config) *network {
 	nw := &network{
 		eng: eng, f: f,
-		lat: cfg.HopLatency,
-		cap: int32(cfg.BufferPackets),
-		hops: make([]hopState, f.numHops),
+		lat:     cfg.HopLatency,
+		cap:     int32(cfg.BufferPackets),
+		hops:    make([]hopState, f.numHops),
 		pktFree: nilIdx,
 		msgFree: nilIdx,
 	}

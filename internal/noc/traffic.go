@@ -205,13 +205,13 @@ func runScripts(cfg Config, mode Mode, computeDone []sim.Time, scripts []nodeScr
 	nw := newNetwork(eng, f, cfg)
 	nw.deliverHook = deliverObserver
 	nw.coll = &collDriver{
-		scripts: scripts,
-		release: release,
-		sent:    make([]int32, n),
-		recvd:   make([]int32, n),
-		next:    make([]int32, n),
-		steps:   int32(len(scripts[0].msgs)),
-		recvGate: recvGate,
+		scripts:     scripts,
+		release:     release,
+		sent:        make([]int32, n),
+		recvd:       make([]int32, n),
+		next:        make([]int32, n),
+		steps:       int32(len(scripts[0].msgs)),
+		recvGate:    recvGate,
 		packetBytes: cfg.PacketBytes,
 	}
 	for i := 0; i < n; i++ {

@@ -113,9 +113,35 @@ type MetricsSnapshot struct {
 	Store *StoreSnapshot `json:"store,omitempty"`
 	// Cluster is the coordinator's dispatch/health snapshot (coordinator
 	// mode only; absent on plain daemons and workers).
-	Cluster any `json:"cluster,omitempty"`
+	Cluster *ClusterSnapshot `json:"cluster,omitempty"`
 	// Jobs is the async job manager's queue depths and per-tenant counters.
 	Jobs *JobsSnapshot `json:"jobs,omitempty"`
+}
+
+// ClusterSnapshot is a coordinator's dispatch counters and per-worker
+// health. internal/cluster fills it through Config.ClusterMetrics.
+type ClusterSnapshot struct {
+	Workers        []ClusterWorker `json:"workers"`
+	HealthyWorkers int             `json:"healthy_workers"`
+
+	Sweeps         uint64 `json:"sweeps"`           // distributed sweeps started
+	Chunks         uint64 `json:"chunks"`           // chunks dispatched (first attempts)
+	ChunkRetries   uint64 `json:"chunk_retries"`    // re-dispatches after a failed attempt
+	ChunkHedges    uint64 `json:"chunk_hedges"`     // hedged duplicates of stragglers
+	ChunkLocalRuns uint64 `json:"chunk_local_runs"` // chunks degraded to local execution
+	DispatchErrors uint64 `json:"dispatch_errors"`  // dispatch attempts that failed
+
+	Probes        uint64 `json:"probes"`
+	ProbeFailures uint64 `json:"probe_failures"`
+	Ejections     uint64 `json:"ejections"`
+	Readmissions  uint64 `json:"readmissions"`
+}
+
+// ClusterWorker is one worker's health in a ClusterSnapshot.
+type ClusterWorker struct {
+	Addr                string `json:"addr"`
+	State               string `json:"state"`
+	ConsecutiveFailures int    `json:"consecutive_failures"`
 }
 
 // PlanCacheSnapshot is the wire form of core.CacheStats plus the derived hit
@@ -132,7 +158,7 @@ type PlanCacheSnapshot struct {
 // snapshot renders the current counters. gateWaiting is the admission
 // queue's current depth; cache is the process-wide plan cache; cluster is
 // the coordinator snapshot (nil outside coordinator mode).
-func (m *serverMetrics) snapshot(gateWaiting int64, cache *core.PlanCache, cluster any, st *StoreSnapshot) MetricsSnapshot {
+func (m *serverMetrics) snapshot(gateWaiting int64, cache *core.PlanCache, cluster *ClusterSnapshot, st *StoreSnapshot) MetricsSnapshot {
 	cs := cache.Stats()
 	rate := 0.0
 	if total := cs.Hits + cs.DiskHits + cs.Misses; total > 0 {

@@ -116,6 +116,19 @@ func promFamilies(snap MetricsSnapshot) []metrics.PromFamily {
 		)
 	}
 
+	// Coordinator worker health and chunk dispatch (coordinator mode only).
+	if cl := snap.Cluster; cl != nil {
+		fams = append(fams,
+			gauge("pimnetd_cluster_workers", "Workers configured behind the coordinator.", float64(len(cl.Workers))),
+			gauge("pimnetd_cluster_healthy_workers", "Workers currently eligible for chunk placement.", float64(cl.HealthyWorkers)),
+			counter("pimnetd_cluster_chunks_total", "Chunks dispatched (first attempts).", float64(cl.Chunks)),
+			counter("pimnetd_cluster_chunk_retries_total", "Chunk re-dispatches after a failed attempt.", float64(cl.ChunkRetries)),
+			counter("pimnetd_cluster_chunk_hedges_total", "Hedged duplicate dispatches of straggling chunks.", float64(cl.ChunkHedges)),
+			counter("pimnetd_cluster_chunk_local_runs_total", "Chunks degraded to local execution on the coordinator.", float64(cl.ChunkLocalRuns)),
+			counter("pimnetd_cluster_dispatch_errors_total", "Chunk dispatch attempts that failed.", float64(cl.DispatchErrors)),
+		)
+	}
+
 	// Async jobs: queue depths and per-tenant counters.
 	if jobs := snap.Jobs; jobs != nil {
 		fams = append(fams,

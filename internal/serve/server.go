@@ -76,9 +76,10 @@ type Config struct {
 	// pass this server's admission gate, so a coordinator sheds load
 	// exactly like a single node.
 	Sweeper SweepRunner
-	// ClusterMetrics, when non-nil, is embedded in the observability
-	// snapshot as "cluster" (coordinator mode only; see Server.Snapshot).
-	ClusterMetrics func() any
+	// ClusterMetrics, when non-nil, supplies the coordinator's counters:
+	// the "cluster" section of Server.Snapshot and the pimnetd_cluster_*
+	// families of /metrics (coordinator mode only).
+	ClusterMetrics func() ClusterSnapshot
 	// MaxJobs bounds concurrently running async jobs (<=0 selects
 	// MaxInFlight). Queued jobs wait in per-tenant queues scheduled by
 	// deficit round robin; running jobs occupy admission slots like any
@@ -480,9 +481,10 @@ func (s *Server) Snapshot() MetricsSnapshot { return s.snapshotMetrics() }
 // Prometheus rendering and the exported Snapshot accessor, so the two can
 // never disagree).
 func (s *Server) snapshotMetrics() MetricsSnapshot {
-	var cluster any
+	var cluster *ClusterSnapshot
 	if s.cfg.ClusterMetrics != nil {
-		cluster = s.cfg.ClusterMetrics()
+		cl := s.cfg.ClusterMetrics()
+		cluster = &cl
 	}
 	snap := s.met.snapshot(s.gate.waiting(), s.cache, cluster, s.storeSnapshot())
 	snap.Jobs = s.jobs.snapshot()

@@ -9,7 +9,7 @@ package sparse
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // COO is a coordinate-format sparse matrix.
@@ -31,9 +31,9 @@ type Config struct {
 	Seed       int64
 }
 
-// Generate produces a deterministic sparse matrix with the requested shape.
-// Duplicate coordinates are merged (values summed), so the final nnz can be
-// slightly below the requested count.
+// Generate produces a deterministic sparse matrix with exactly the requested
+// nonzero count. Coordinates are drawn until that many are distinct; a
+// coordinate drawn again keeps the value of its last draw.
 func Generate(cfg Config) (*COO, error) {
 	if cfg.Rows < 1 || cfg.Cols < 1 {
 		return nil, fmt.Errorf("sparse: shape %dx%d", cfg.Rows, cfg.Cols)
@@ -45,8 +45,9 @@ func Generate(cfg Config) (*COO, error) {
 		return nil, fmt.Errorf("sparse: negative skew %v", cfg.Skew)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	type coord struct{ r, c int32 }
-	seen := make(map[coord]int32, cfg.NNZ)
+	// Coordinates are packed as row<<32 | col, so sorting the keys orders
+	// the nonzeros row-major.
+	seen := make(map[uint64]int32, cfg.NNZ)
 	for int64(len(seen)) < cfg.NNZ {
 		var r int
 		if cfg.Skew > 0 {
@@ -63,23 +64,19 @@ func Generate(cfg Config) (*COO, error) {
 			r = cfg.Rows - 1
 		}
 		c := rng.Intn(cfg.Cols)
-		seen[coord{int32(r), int32(c)}] = int32(rng.Intn(100) + 1)
+		seen[uint64(uint32(r))<<32|uint64(uint32(c))] = int32(rng.Intn(100) + 1)
 	}
-	coords := make([]coord, 0, len(seen))
+	keys := make([]uint64, 0, len(seen))
 	for k := range seen {
-		coords = append(coords, k)
+		keys = append(keys, k)
 	}
-	sort.Slice(coords, func(i, j int) bool {
-		if coords[i].r != coords[j].r {
-			return coords[i].r < coords[j].r
-		}
-		return coords[i].c < coords[j].c
-	})
-	m := &COO{Rows: cfg.Rows, Cols: cfg.Cols}
-	for _, k := range coords {
-		m.RowIdx = append(m.RowIdx, k.r)
-		m.ColIdx = append(m.ColIdx, k.c)
-		m.Val = append(m.Val, seen[k])
+	slices.Sort(keys)
+	m := &COO{Rows: cfg.Rows, Cols: cfg.Cols,
+		RowIdx: make([]int32, len(keys)), ColIdx: make([]int32, len(keys)), Val: make([]int32, len(keys))}
+	for i, k := range keys {
+		m.RowIdx[i] = int32(k >> 32)
+		m.ColIdx[i] = int32(uint32(k))
+		m.Val[i] = seen[k]
 	}
 	return m, nil
 }

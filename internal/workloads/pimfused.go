@@ -153,7 +153,7 @@ func PIMfusedDefault(opt Options, scaled bool) (machine.Workload, error) {
 // Named resolves one workload by name, case-insensitively and accepting
 // unambiguous prefixes: the eight Table VII applications (suite entries,
 // matched on the base name before any "-" size suffix) plus the PIMfused
-// fused-layer CNN class.
+// fused-layer CNN class. Only the resolved workload is built.
 func Named(name string, cfg SuiteConfig) (machine.Workload, error) {
 	want := strings.ToLower(strings.TrimSpace(name))
 	if want == "" {
@@ -162,18 +162,14 @@ func Named(name string, cfg SuiteConfig) (machine.Workload, error) {
 	if strings.HasPrefix("pimfused", want) {
 		return PIMfusedDefault(Options{Nodes: cfg.Nodes, Seed: cfg.Seed}, cfg.Scaled)
 	}
-	suite, err := Suite(cfg)
-	if err != nil {
-		return machine.Workload{}, err
-	}
-	var names []string
-	for _, wl := range suite {
-		base, _, _ := strings.Cut(wl.Name, "-")
-		names = append(names, base)
-		if strings.HasPrefix(strings.ToLower(base), want) {
-			return wl, nil
+	names := make([]string, 0, len(suite)+1)
+	for _, e := range suite {
+		if strings.HasPrefix(strings.ToLower(e.name), want) {
+			return e.buildFor(cfg)
 		}
+		names = append(names, e.name)
 	}
-	return machine.Workload{}, fmt.Errorf("workloads: unknown workload %q (have %s, PIMfused)",
+	names = append(names, "PIMfused")
+	return machine.Workload{}, fmt.Errorf("workloads: unknown workload %q (have %s)",
 		name, strings.Join(names, ", "))
 }

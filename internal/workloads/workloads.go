@@ -353,45 +353,84 @@ type SuiteConfig struct {
 	Scaled bool
 }
 
+// suiteEntry is one Table VII application: the base name Named matches on
+// and the builder that sizes its inputs from the suite configuration.
+type suiteEntry struct {
+	name  string
+	build func(opt Options, scaled bool) (machine.Workload, error)
+}
+
+// suite lists the eight evaluation workloads in Table VII order. Suite
+// builds every entry; Named builds only the one it resolves.
+var suite = []suiteEntry{
+	{"BFS", func(opt Options, scaled bool) (machine.Workload, error) {
+		return BFS(opt, suiteGraph(opt.Seed, scaled))
+	}},
+	{"CC", func(opt Options, scaled bool) (machine.Workload, error) {
+		return CC(opt, suiteGraph(opt.Seed, scaled))
+	}},
+	{"GEMV", func(opt Options, _ bool) (machine.Workload, error) {
+		return GEMV(opt, 2048, 128, 8)
+	}},
+	{"MLP", func(opt Options, _ bool) (machine.Workload, error) {
+		return MLP(opt, []int{256, 512, 1024}, 4)
+	}},
+	{"SpMV", func(opt Options, scaled bool) (machine.Workload, error) {
+		scfg := sparse.Config{Rows: 1 << 16, Cols: 1 << 16, NNZ: 2 << 20, Skew: 1, Seed: opt.Seed}
+		if scaled {
+			scfg = sparse.Config{Rows: 4096, Cols: 4096, NNZ: 40000, Skew: 1, Seed: opt.Seed}
+		}
+		colBlocks := 32
+		if opt.Nodes%colBlocks != 0 {
+			colBlocks = opt.Nodes
+		}
+		return SpMV(opt, scfg, colBlocks)
+	}},
+	{"EMB", func(opt Options, _ bool) (machine.Workload, error) {
+		part := embtab.Partitioning{Cols: 8, Rows: opt.Nodes / 8}
+		if opt.Nodes%8 != 0 {
+			part = embtab.Partitioning{Cols: 1, Rows: opt.Nodes}
+		}
+		return EMB(opt, embtab.Synthetic(), part)
+	}},
+	{"NTT", func(opt Options, _ bool) (machine.Workload, error) {
+		return NTT(opt, 16)
+	}},
+	{"Join", func(opt Options, scaled bool) (machine.Workload, error) {
+		tuples := int64(64) << 20
+		if scaled {
+			tuples = 1 << 20
+		}
+		return Join(opt, tuples)
+	}},
+}
+
+// suiteGraph is the BFS/CC input: log-gowalla, or a small R-MAT graph of
+// the same shape when scaled.
+func suiteGraph(seed int64, scaled bool) graphgen.RMATConfig {
+	if scaled {
+		return graphgen.RMATConfig{Vertices: 4096, Edges: 20000, A: 0.57, B: 0.19, C: 0.19, Seed: seed}
+	}
+	return graphgen.LogGowalla()
+}
+
+// buildFor runs one suite entry, naming it in the error.
+func (e suiteEntry) buildFor(cfg SuiteConfig) (machine.Workload, error) {
+	wl, err := e.build(Options{Nodes: cfg.Nodes, Seed: cfg.Seed}, cfg.Scaled)
+	if err != nil {
+		return machine.Workload{}, fmt.Errorf("workloads: building %s: %w", e.name, err)
+	}
+	return wl, nil
+}
+
 // Suite builds all eight evaluation workloads with the paper's inputs
 // (Table VII), or reduced ones when Scaled is set.
 func Suite(cfg SuiteConfig) ([]machine.Workload, error) {
-	opt := Options{Nodes: cfg.Nodes, Seed: cfg.Seed}
-	gcfg := graphgen.LogGowalla()
-	scfg := sparse.Config{Rows: 1 << 16, Cols: 1 << 16, NNZ: 2 << 20, Skew: 1, Seed: cfg.Seed}
-	joinTuples := int64(64) << 20
-	if cfg.Scaled {
-		gcfg = graphgen.RMATConfig{Vertices: 4096, Edges: 20000, A: 0.57, B: 0.19, C: 0.19, Seed: cfg.Seed}
-		scfg = sparse.Config{Rows: 4096, Cols: 4096, NNZ: 40000, Skew: 1, Seed: cfg.Seed}
-		joinTuples = 1 << 20
-	}
-	colBlocks := 32
-	if cfg.Nodes%colBlocks != 0 {
-		colBlocks = cfg.Nodes
-	}
-	embPart := embtab.Partitioning{Cols: 8, Rows: cfg.Nodes / 8}
-	if cfg.Nodes%8 != 0 {
-		embPart = embtab.Partitioning{Cols: 1, Rows: cfg.Nodes}
-	}
-	var out []machine.Workload
-	type build struct {
-		name string
-		fn   func() (machine.Workload, error)
-	}
-	builders := []build{
-		{"BFS", func() (machine.Workload, error) { return BFS(opt, gcfg) }},
-		{"CC", func() (machine.Workload, error) { return CC(opt, gcfg) }},
-		{"GEMV", func() (machine.Workload, error) { return GEMV(opt, 2048, 128, 8) }},
-		{"MLP", func() (machine.Workload, error) { return MLP(opt, []int{256, 512, 1024}, 4) }},
-		{"SpMV", func() (machine.Workload, error) { return SpMV(opt, scfg, colBlocks) }},
-		{"EMB", func() (machine.Workload, error) { return EMB(opt, embtab.Synthetic(), embPart) }},
-		{"NTT", func() (machine.Workload, error) { return NTT(opt, 16) }},
-		{"Join", func() (machine.Workload, error) { return Join(opt, joinTuples) }},
-	}
-	for _, b := range builders {
-		wl, err := b.fn()
+	out := make([]machine.Workload, 0, len(suite))
+	for _, e := range suite {
+		wl, err := e.buildFor(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("workloads: building %s: %w", b.name, err)
+			return nil, err
 		}
 		out = append(out, wl)
 	}

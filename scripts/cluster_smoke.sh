@@ -25,6 +25,7 @@ fail() {
 }
 
 go build -o "$workdir/pimnetd" ./cmd/pimnetd
+go build -o "$workdir/promcheck" ./cmd/promcheck
 
 # start_daemon <name> <extra flags...>: boot one daemon on an ephemeral
 # port, wait for its resolved address, and record it in $base.
@@ -78,9 +79,17 @@ wait "$curl_pid" || fail "sweep failed while a worker was killed"
 cmp -s "$workdir/single.json" "$workdir/chaos.json" \
     || fail "worker-loss sweep differs from single node: $(cat "$workdir/chaos.json")"
 
-# The coordinator's metrics must expose the cluster section.
-curl -fsS "$coord_base/metrics" | grep -q '"cluster":{' \
-    || fail "metrics missing cluster section"
+# The coordinator's /metrics must be valid exposition carrying the cluster
+# families, with chunks dispatched to the workers.
+curl -fsS "$coord_base/metrics" > "$workdir/metrics.prom" || fail "metrics fetch"
+"$workdir/promcheck" -require \
+    pimnetd_cluster_workers,pimnetd_cluster_healthy_workers,pimnetd_cluster_chunks_total,pimnetd_cluster_chunk_retries_total,pimnetd_cluster_chunk_hedges_total,pimnetd_cluster_chunk_local_runs_total,pimnetd_cluster_dispatch_errors_total \
+    "$workdir/metrics.prom" \
+    || fail "metrics is not valid Prometheus exposition with the cluster families"
+grep -q '^pimnetd_cluster_workers 2$' "$workdir/metrics.prom" \
+    || fail "metrics does not count 2 workers: $(grep pimnetd_cluster_ "$workdir/metrics.prom")"
+grep -q '^pimnetd_cluster_chunks_total 0$' "$workdir/metrics.prom" \
+    && fail "metrics counts no dispatched chunks"
 
 # SIGTERM must drain the coordinator cleanly, probe loop included.
 kill -TERM "$coord_pid"
